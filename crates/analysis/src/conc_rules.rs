@@ -255,9 +255,9 @@ fn entry_alternatives(
     }
     for _round in 0..64 {
         let mut changed = false;
-        let snapshot: Vec<((String, String), Vec<BTreeSet<String>>)> = alts
+        let snapshot: Vec<_> = alts
             .iter()
-            .map(|(k, a)| (k.clone(), a.sets.iter().cloned().collect()))
+            .map(|(k, a)| (k.clone(), a.sets.iter().cloned().collect::<Vec<_>>()))
             .collect();
         for (caller_key, caller_alts) in &snapshot {
             let u = &units[caller_key];
@@ -732,13 +732,12 @@ pub fn check_files_conc_stats(
                     Ev::Load { .. } => {
                         guards.push((n, u.locks[n].clone().unwrap_or_default()));
                     }
-                    Ev::Call { name, foreign } => {
+                    Ev::Call { name, foreign }
                         if table
                             .resolve_call(&u.path, name, *foreign)
-                            .is_some_and(|s| s.reads_pm && !s.writes_pm)
-                        {
-                            guards.push((n, u.locks[n].clone().unwrap_or_default()));
-                        }
+                            .is_some_and(|s| s.reads_pm && !s.writes_pm) =>
+                    {
+                        guards.push((n, u.locks[n].clone().unwrap_or_default()));
                     }
                     Ev::CondUse { idents } => {
                         let mut insts = BTreeSet::new();

@@ -507,11 +507,10 @@ pub fn strip_non_code(src: &str) -> String {
             '\'' => {
                 // Char literal vs lifetime: a lifetime is `'ident` with no
                 // closing quote right after one character.
-                let is_char_lit = match (b.get(i + 1), b.get(i + 2)) {
-                    (Some('\\'), _) => true,
-                    (Some(_), Some('\'')) => true,
-                    _ => false,
-                };
+                let is_char_lit = matches!(
+                    (b.get(i + 1), b.get(i + 2)),
+                    (Some('\\'), _) | (Some(_), Some('\''))
+                );
                 if is_char_lit {
                     out.push(' ');
                     i += 1;

@@ -171,10 +171,7 @@ fn run_target(
     let mut rows = Vec::new();
     let mut push = |phase: &str, unit: &str, value: f64, r: PhaseResult| {
         rows.push(ExperimentRow::from_phase(
-            "perf",
-            &target.name,
-            point,
-            phase,
+            ["perf", &target.name, point, phase],
             unit,
             value,
             1,

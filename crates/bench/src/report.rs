@@ -87,17 +87,16 @@ impl ExperimentRow {
         )
     }
 
-    /// Build a row from a measured [`crate::PhaseResult`].
+    /// Build a row from a measured [`crate::PhaseResult`]. `key` is
+    /// `[experiment, series, point, phase]`, the row's [`Self::key`].
     pub fn from_phase(
-        experiment: &str,
-        series: &str,
-        point: &str,
-        phase: &str,
+        key: [&str; 4],
         unit: &str,
         value: f64,
         threads: usize,
         r: &crate::PhaseResult,
     ) -> Self {
+        let [experiment, series, point, phase] = key;
         Self {
             experiment: experiment.to_string(),
             series: series.to_string(),
@@ -297,10 +296,13 @@ fn field_str(v: &Json, key: &str) -> Result<String, String> {
         .ok_or_else(|| format!("missing string field {key:?}"))
 }
 
+/// One counter: its JSON key, getter and setter.
+type CounterField = (&'static str, fn(&StatsSnapshot) -> u64, fn(&mut StatsSnapshot, u64));
+
 /// The one place that knows the counter field list. Serializer and parser
 /// both go through it, so they cannot drift apart (and the golden-file
 /// test pins the result).
-const COUNTER_FIELDS: [(&str, fn(&StatsSnapshot) -> u64, fn(&mut StatsSnapshot, u64)); 14] = [
+const COUNTER_FIELDS: [CounterField; 14] = [
     ("cl_reads", |s| s.cl_reads, |s, v| s.cl_reads = v),
     ("cl_writes", |s| s.cl_writes, |s, v| s.cl_writes = v),
     ("xp_reads", |s| s.xp_reads, |s, v| s.xp_reads = v),
@@ -649,7 +651,11 @@ pub fn emit_phase(
     r: &crate::PhaseResult,
 ) {
     emit(ExperimentRow::from_phase(
-        experiment, series, point, phase, unit, value, threads, r,
+        [experiment, series, point, phase],
+        unit,
+        value,
+        threads,
+        r,
     ));
 }
 

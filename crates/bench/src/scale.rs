@@ -176,6 +176,10 @@ pub(crate) fn phase_seed(base: u64, series: usize, domain: usize, threads: usize
     )
 }
 
+/// One cooperative task of a measured phase: runs on its own context and
+/// returns the ops it completed.
+pub(crate) type TaskBody<'a> = Box<dyn FnOnce(&mut MemCtx) -> u64 + Send + 'a>;
+
 /// The scheduler-driven analogue of the harness's `run_phase`: run
 /// `bodies` as cooperative tasks via [`run_batch`], with the same
 /// counter/span/virtual-time accounting. Returns the phase result plus
@@ -186,7 +190,7 @@ pub(crate) fn phase_seed(base: u64, series: usize, domain: usize, threads: usize
 pub(crate) fn measure_batch<'a>(
     dev: &Arc<PmDevice>,
     sched: &SchedConfig,
-    bodies: Vec<Box<dyn FnOnce(&mut MemCtx) -> u64 + Send + 'a>>,
+    bodies: Vec<TaskBody<'a>>,
 ) -> Result<(PhaseResult, Vec<u64>), String> {
     dev.quiesce();
     let before = dev.snapshot();
@@ -289,10 +293,7 @@ pub fn run_cell(
             "{name}/{point}/{phase}: total ops != sum of per-task ops"
         );
         rows.push(ExperimentRow::from_phase(
-            "scale",
-            &name,
-            &point,
-            phase,
+            ["scale", &name, &point, phase],
             "mops",
             r.mops(),
             threads,
@@ -305,13 +306,13 @@ pub fn run_cell(
     // partitioned run streams), concurrently under the scheduler.
     let load_cfg = wl(Distribution::Uniform, Mix::BALANCED);
     let keys = load_keys(&load_cfg);
-    let load_bodies: Vec<Box<dyn FnOnce(&mut MemCtx) -> u64 + Send>> = (0..threads)
+    let load_bodies: Vec<TaskBody> = (0..threads)
         .map(|t| {
             let index = Arc::clone(&index);
             let mine: Vec<u64> = my_chunk(&keys, threads, t).to_vec();
             let mut vals = OpStream::new(&load_cfg, t as u64);
             let name = name.clone();
-            let b: Box<dyn FnOnce(&mut MemCtx) -> u64 + Send> = Box::new(move |ctx| {
+            let b: TaskBody = Box::new(move |ctx| {
                 for &k in &mine {
                     index
                         .insert(ctx, k, &vals.expected_value(k))
@@ -337,7 +338,7 @@ pub fn run_cell(
     {
         let rcfg = wl(dist, Mix::BALANCED);
         let per_ops = (cfg.ops / threads as u64).max(1);
-        let bodies: Vec<Box<dyn FnOnce(&mut MemCtx) -> u64 + Send>> = (0..threads)
+        let bodies: Vec<TaskBody> = (0..threads)
             .map(|t| {
                 let index = Arc::clone(&index);
                 let mut stream = if shared {
@@ -345,7 +346,7 @@ pub fn run_cell(
                 } else {
                     OpStream::partitioned(&rcfg, t as u64, threads as u64)
                 };
-                let b: Box<dyn FnOnce(&mut MemCtx) -> u64 + Send> = Box::new(move |ctx| {
+                let b: TaskBody = Box::new(move |ctx| {
                     let n = exec_stream(index.as_ref(), ctx, &mut stream, per_ops);
                     maybe_inflate(ctx);
                     n
@@ -601,14 +602,14 @@ pub fn lin_check_target(
     // lint:allow(std-sync): host-side history buffer; never held across a
     // sync point (same discipline as spash-sched's lin driver).
     let hist = Arc::new(std::sync::Mutex::new(Vec::<HistOp>::new()));
-    let bodies: Vec<Box<dyn FnOnce(&mut MemCtx) -> u64 + Send>> = (0..cfg.threads)
+    let bodies: Vec<TaskBody> = (0..cfg.threads)
         .map(|t| {
             let index = Arc::clone(&index);
             let rec = recorder.clone();
             let hist = Arc::clone(&hist);
             let mut stream = OpStream::new(&wcfg, t as u64);
             let n = cfg.ops_per_thread;
-            let b: Box<dyn FnOnce(&mut MemCtx) -> u64 + Send> = Box::new(move |ctx| {
+            let b: TaskBody = Box::new(move |ctx| {
                 for _ in 0..n {
                     let op = match stream.next_op() {
                         WorkOp::Search(k) => SweepOp::Get(k),

@@ -39,7 +39,7 @@ use spash_workloads::{load_keys, Distribution, Mix, OpStream, ValueSize, WorkOp,
 use crate::indexes::crash_targets;
 use crate::perf::{domain_label, short_rev, suite_pm};
 use crate::report::{BenchReport, ExperimentRow};
-use crate::scale::{measure_batch, phase_seed};
+use crate::scale::{measure_batch, phase_seed, TaskBody};
 use crate::statskit::percentile;
 
 /// Suite scale. Small for the same reason `scale` is: batching and
@@ -143,7 +143,6 @@ pub struct ServiceCellResult {
 /// optionally collecting per-response latency, and surface the routing
 /// audit. `t0` inside each body is the executor's phase-start clock (all
 /// tasks start at the same raised floor, so latencies are comparable).
-#[allow(clippy::type_complexity)]
 fn shard_bodies<'a>(
     svc: &'a Service,
     shards: usize,
@@ -151,10 +150,10 @@ fn shard_bodies<'a>(
     // lint:allow(std-sync): host-side latency sink; locked only inside
     // `deliver`, never held across a sync point.
     latencies: Option<&'a std::sync::Mutex<Vec<u64>>>,
-) -> Vec<Box<dyn FnOnce(&mut MemCtx) -> u64 + Send + 'a>> {
+) -> Vec<TaskBody<'a>> {
     (0..shards)
         .map(|shard| {
-            let b: Box<dyn FnOnce(&mut MemCtx) -> u64 + Send + 'a> = Box::new(move |ctx| {
+            let b: TaskBody<'a> = Box::new(move |ctx| {
                 let t0 = ctx.now();
                 let mut on_invoke = |_: &mut [ClientReq]| {};
                 let mut deliver = |_ctx: &mut MemCtx, pool: &BatchPool, replies: BatchReplies| {
@@ -249,7 +248,11 @@ pub fn run_cell(
             return Err(fail(phase, format!("{mis} misrouted request(s)")));
         }
         rows.push(ExperimentRow::from_phase(
-            "service", &name, &point, phase, "mops", r.mops(), shards, &r,
+            ["service", &name, &point, phase],
+            "mops",
+            r.mops(),
+            shards,
+            &r,
         ));
         Ok(())
     };

@@ -29,7 +29,7 @@
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use spash_pmem::sync::Mutex;
+use spash_pmem::sync::SpinMutex;
 use spash_htm::{Abort, Htm, LineId, Tx};
 use spash_pmem::{MemCtx, PmAddr};
 
@@ -162,8 +162,10 @@ impl Routed {
 }
 
 /// Coherent pair of (current directory, active doubling). Kept under one
-/// mutex: reading them separately can pair a retired job with the newer
-/// current directory and route reads to a stale generation.
+/// lock: reading them separately can pair a retired job with the newer
+/// current directory and route reads to a stale generation. The lock is a
+/// [`SpinMutex`]: every critical section is a few loads and `Arc` moves
+/// with no sync point inside, and it is taken on every routed operation.
 struct DirState {
     current: Arc<DirInner>,
     job: Option<Arc<DoublingJob>>,
@@ -171,7 +173,7 @@ struct DirState {
 
 /// The directory.
 pub struct Directory {
-    state: Mutex<DirState>,
+    state: SpinMutex<DirState>,
     next_gen: AtomicU64,
     /// Diagnostics: how often operations waited behind the doubling
     /// thread (blocking mode) vs completed stages themselves.
@@ -189,7 +191,7 @@ impl Directory {
             inner.entries[i].store(pack_entry(s, depth as u8), Ordering::Relaxed);
         }
         Self {
-            state: Mutex::new(DirState {
+            state: SpinMutex::new(DirState {
                 current: Arc::new(inner),
                 job: None,
             }),
@@ -211,7 +213,7 @@ impl Directory {
             }
         }
         Self {
-            state: Mutex::new(DirState {
+            state: SpinMutex::new(DirState {
                 current: Arc::new(inner),
                 job: None,
             }),
@@ -226,36 +228,32 @@ impl Directory {
         self.state.lock().current.depth
     }
 
-    /// Coherently snapshot (current directory, active doubling job).
-    fn snapshot(&self) -> (Arc<DirInner>, Option<Arc<DoublingJob>>) {
-        let s = self.state.lock();
-        (Arc::clone(&s.current), s.job.clone())
-    }
-
     /// The routing decision for `hash`: which directory generation and
-    /// index are authoritative right now. Does not load the entry.
-    fn route(&self, hash: u64) -> Routed {
-        let (cur, job) = self.snapshot();
-        if let Some(job) = job {
-            if job.old.gen == cur.gen {
+    /// index are authoritative right now, passed to `f` under the state
+    /// lock (so callers clone a generation only when they keep it).
+    fn route_with<R>(&self, hash: u64, f: impl FnOnce(&Arc<DirInner>, usize) -> R) -> R {
+        let s = self.state.lock();
+        match &s.job {
+            Some(job) if job.old.gen == s.current.gen => {
                 let old_idx = job.old.index_of(hash);
                 if job.stage_state(job.stage_of(old_idx)) == Stage::Done {
-                    let idx = job.new.index_of(hash);
-                    return Routed {
-                        dir: Arc::clone(&job.new),
-                        idx,
-                        entry: 0,
-                    };
+                    f(&job.new, job.new.index_of(hash))
+                } else {
+                    f(&job.old, old_idx)
                 }
-                return Routed {
-                    dir: Arc::clone(&job.old),
-                    idx: old_idx,
-                    entry: 0,
-                };
             }
+            _ => f(&s.current, s.current.index_of(hash)),
         }
-        let idx = cur.index_of(hash);
-        Routed { dir: cur, idx, entry: 0 }
+    }
+
+    /// [`Self::route_with`], keeping the generation. Does not load the
+    /// entry.
+    fn route(&self, hash: u64) -> Routed {
+        self.route_with(hash, |dir, idx| Routed {
+            dir: Arc::clone(dir),
+            idx,
+            entry: 0,
+        })
     }
 
     /// Route a hash to its authoritative entry. Charges one cached DRAM
@@ -290,8 +288,8 @@ impl Directory {
         // alone would pass. Stage states are monotonic, so if the route is
         // unchanged *after* the guarded read, any later copy bumps the
         // version and aborts us at commit.
-        let recheck = self.route(hash);
-        if recheck.dir.gen != routed.dir.gen || recheck.idx != routed.idx {
+        let recheck = self.route_with(hash, |dir, idx| (dir.gen, idx));
+        if recheck != (routed.dir.gen, routed.idx) {
             return tx.abort(VALIDATE_SEGMENT_MOVED);
         }
         if unpack_entry(entry).0 != expected_seg {
@@ -309,8 +307,9 @@ impl Directory {
     /// take the same per-partition locks), so the answer cannot change
     /// before commit.
     pub fn tx_write_safe(&self, dir: &DirInner, first_idx: usize, last_idx: usize) -> bool {
-        let (cur, job) = self.snapshot();
-        match job {
+        let s = self.state.lock();
+        let cur = &s.current;
+        match &s.job {
             None => dir.gen == cur.gen,
             Some(j) => {
                 if dir.gen == j.old.gen {
@@ -450,10 +449,10 @@ impl Directory {
     /// The authoritative directory for *writing* right now: the doubling
     /// job's new directory if one is active, else current.
     pub fn write_target(&self) -> (Arc<DirInner>, Option<Arc<DoublingJob>>) {
-        let (cur, job) = self.snapshot();
-        match job {
-            Some(j) => (Arc::clone(&j.new), Some(j)),
-            None => (cur, None),
+        let s = self.state.lock();
+        match &s.job {
+            Some(j) => (Arc::clone(&j.new), Some(Arc::clone(j))),
+            None => (Arc::clone(&s.current), None),
         }
     }
 

@@ -213,13 +213,12 @@ impl Overlay {
         let snap_tx = e.snap_tx.load(Ordering::Acquire);
         let snap_nt = e.snap_nt.load(Ordering::Acquire);
         let fpw = e.fpw.load(Ordering::Acquire);
-        let mut words = [(0u64, 0u64); 4];
-        for j in 0..4 {
-            words[j] = (
+        let words: [(u64, u64); 4] = std::array::from_fn(|j| {
+            (
                 e.words[2 * j].load(Ordering::Acquire),
                 e.words[2 * j + 1].load(Ordering::Acquire),
-            );
-        }
+            )
+        });
         if e.ver.load(Ordering::Acquire) != v1 {
             return None;
         }
@@ -300,9 +299,9 @@ impl Overlay {
         e.snap_tx.store(snap.0, Ordering::Release);
         e.snap_nt.store(snap.1, Ordering::Release);
         e.fpw.store(fpw, Ordering::Release);
-        for j in 0..4 {
-            e.words[2 * j].store(words[j].0, Ordering::Release);
-            e.words[2 * j + 1].store(words[j].1, Ordering::Release);
+        for (j, &(kw, vw)) in words.iter().enumerate() {
+            e.words[2 * j].store(kw, Ordering::Release);
+            e.words[2 * j + 1].store(vw, Ordering::Release);
         }
         e.ver.store(v + 2, Ordering::Release);
     }

@@ -30,10 +30,9 @@
 //! HTM protocol scales where lock-based protocols do not (paper Fig 12c).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use spash_pmem::schedhook::{self, SyncEvent};
-use spash_pmem::{MemCtx, PmAddr, PmDevice};
+use spash_pmem::{Arena, MemCtx, PmAddr};
 
 /// Identifies one conflict-detection granule (a cacheline or a volatile
 /// location).
@@ -188,35 +187,37 @@ impl Htm {
         // conflict window (`_xbegin`).
         schedhook::sync_point(SyncEvent::HtmBegin);
         ctx.charge_compute(begin_ns);
-        let dev = Arc::clone(ctx.device());
-        let mut tx = Tx {
-            htm: self,
-            dev,
-            owner: (ctx.tid() as u64 + 1) << 1 | LOCKED,
-            read_set: Vec::with_capacity(8),
-            write_set: Vec::with_capacity(8),
-            undo_pm: Vec::with_capacity(8),
-            undo_vol: Vec::new(),
-            finished: false,
-        };
-        match f(&mut tx, ctx) {
-            Ok(v) => match tx.commit(ctx) {
-                Ok(()) => {
-                    self.stats.commits.fetch_add(1, Ordering::Relaxed);
-                    ctx.charge_compute(commit_ns);
-                    Ok(v)
-                }
-                Err(a) => {
-                    self.count_abort(a);
-                    ctx.charge_compute(abort_ns);
-                    schedhook::sync_point(SyncEvent::HtmAbort);
-                    Err(a)
-                }
+        let owner = (ctx.tid() as u64 + 1) << 1 | LOCKED;
+        let mut at = Attempt {
+            tx: Tx {
+                htm: self,
+                owner,
+                read_set: Vec::with_capacity(8),
+                write_set: Vec::with_capacity(8),
+                undo_pm: Vec::with_capacity(8),
+                undo_vol: Vec::new(),
+                finished: false,
             },
+            ctx,
+        };
+        // Roll back *before* the abort's sync point: other tasks scheduled
+        // there must find the write set released.
+        let r = match f(&mut at.tx, at.ctx) {
+            Ok(v) => at.tx.commit(at.ctx).map(|()| v),
             Err(a) => {
-                tx.rollback();
+                at.tx.rollback(at.ctx.device().arena());
+                Err(a)
+            }
+        };
+        match r {
+            Ok(v) => {
+                self.stats.commits.fetch_add(1, Ordering::Relaxed);
+                at.ctx.charge_compute(commit_ns);
+                Ok(v)
+            }
+            Err(a) => {
                 self.count_abort(a);
-                ctx.charge_compute(abort_ns);
+                at.ctx.charge_compute(abort_ns);
                 schedhook::sync_point(SyncEvent::HtmAbort);
                 Err(a)
             }
@@ -320,10 +321,10 @@ struct VolUndo {
     old: u64,
 }
 
-/// An in-flight transaction. Dropping it without commit rolls back.
+/// An in-flight transaction. An attempt that ends without committing —
+/// by abort or by unwinding out of its body — is rolled back.
 pub struct Tx<'h> {
     htm: &'h Htm,
-    dev: Arc<PmDevice>,
     owner: u64,
     /// (slot index, observed version-state) pairs to validate at commit.
     read_set: Vec<(usize, u64)>,
@@ -419,7 +420,7 @@ impl Tx<'_> {
     /// Transactionally store a u64 to PM (undo-logged).
     pub fn write_u64(&mut self, ctx: &mut MemCtx, addr: PmAddr, v: u64) -> Result<(), Abort> {
         self.write_guard(LineId::of_pm(addr))?;
-        let old = self.dev.arena().load_u64(addr);
+        let old = ctx.device().arena().load_u64(addr);
         self.undo_pm.push((addr, old));
         ctx.write_u64(addr, v);
         Ok(())
@@ -464,7 +465,7 @@ impl Tx<'_> {
         self.read_set.len() + self.write_set.len()
     }
 
-    fn commit(mut self, ctx: &mut MemCtx) -> Result<(), Abort> {
+    fn commit(&mut self, ctx: &mut MemCtx) -> Result<(), Abort> {
         // Decision point: the last instant at which a conflicting commit
         // can invalidate this transaction's read set.
         schedhook::sync_point(SyncEvent::HtmCommit);
@@ -474,7 +475,7 @@ impl Tx<'_> {
                 continue;
             }
             if self.htm.slots[idx].state.load(Ordering::Acquire) != ver {
-                self.rollback();
+                self.rollback(ctx.device().arena());
                 return Err(Abort::Conflict(idx as u32));
             }
         }
@@ -501,7 +502,7 @@ impl Tx<'_> {
         Ok(())
     }
 
-    fn rollback(&mut self) {
+    fn rollback(&mut self, arena: &Arena) {
         if self.finished {
             return;
         }
@@ -511,7 +512,7 @@ impl Tx<'_> {
             // transaction captured before its own instrumented writes; it
             // must not dirty the cache model or advance clocks again, or
             // aborted attempts would change the durable image and costs.
-            self.dev.arena().store_u64(addr, old);
+            arena.store_u64(addr, old);
         }
         for u in self.undo_vol.iter().rev() {
             // SAFETY: cells passed to write_volatile_u64 outlive the
@@ -533,9 +534,18 @@ impl Tx<'_> {
     }
 }
 
-impl Drop for Tx<'_> {
+/// One transaction attempt: the transaction plus the context it runs on.
+/// Holding both lets `Drop` roll back through the context's device — so a
+/// body that unwinds (crash-point injection) leaves no write behind —
+/// without the transaction owning a device handle of its own.
+struct Attempt<'h, 'c> {
+    tx: Tx<'h>,
+    ctx: &'c mut MemCtx,
+}
+
+impl Drop for Attempt<'_, '_> {
     fn drop(&mut self) {
-        self.rollback();
+        self.tx.rollback(self.ctx.device().arena());
     }
 }
 
@@ -547,7 +557,8 @@ unsafe impl Send for Tx<'_> {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spash_pmem::PmConfig;
+    use spash_pmem::{PmConfig, PmDevice};
+    use std::sync::Arc;
 
     fn setup() -> (Arc<PmDevice>, Htm) {
         (
@@ -585,6 +596,31 @@ mod tests {
         assert_eq!(dev.arena().load_u64(PmAddr(64)), 10, "undo restored");
         assert_eq!(dev.arena().load_u64(PmAddr(4096)), 0);
         assert_eq!(htm.stats().explicit_aborts, 1);
+    }
+
+    #[test]
+    fn panicking_body_rolls_back_through_drop() {
+        let (dev, htm) = setup();
+        let mut ctx = dev.ctx();
+        dev.arena().store_u64(PmAddr(64), 10);
+        let cell = AtomicU64::new(5);
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _: Result<(), Abort> = htm.try_transaction(&mut ctx, |tx, ctx| {
+                tx.write_u64(ctx, PmAddr(64), 99)?;
+                tx.write_volatile_u64(LineId::volatile(1), &cell, 6)?;
+                panic!("crash point inside the transaction body");
+            });
+        }));
+        assert!(r.is_err());
+        assert_eq!(dev.arena().load_u64(PmAddr(64)), 10, "PM write undone");
+        assert_eq!(cell.load(Ordering::Relaxed), 5, "volatile write undone");
+        assert!(!htm.is_locked(LineId::of_pm(PmAddr(64))), "released");
+        assert!(!htm.is_locked(LineId::volatile(1)));
+        // The released lines are usable by the next transaction.
+        let r: Result<(), Abort> =
+            htm.try_transaction(&mut ctx, |tx, ctx| tx.write_u64(ctx, PmAddr(64), 11));
+        assert!(r.is_ok());
+        assert_eq!(dev.arena().load_u64(PmAddr(64)), 11);
     }
 
     #[test]

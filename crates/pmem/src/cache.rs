@@ -10,7 +10,7 @@
 //! line on its clean-to-dirty transition so that an ADR crash can revert
 //! unflushed data — the mechanism behind the crash-consistency tests.
 
-use crate::sync::Mutex;
+use crate::sync::SpinMutex;
 
 use crate::arena::Arena;
 use crate::config::{CrashFidelity, PersistenceDomain};
@@ -20,7 +20,6 @@ struct Way {
     /// line address + 1; 0 = empty.
     tag: u64,
     dirty: bool,
-    tick: u64,
     preimage: Option<Box<[u8; 64]>>,
 }
 
@@ -28,6 +27,7 @@ struct Shard {
     /// `sets * ways` entries, laid out set-major.
     ways: Vec<Way>,
     assoc: usize,
+    /// Accesses so far; seeds the pseudo-random victim choice.
     tick: u64,
 }
 
@@ -39,9 +39,21 @@ pub struct AccessResult {
     pub evicted_dirty: Option<u64>,
 }
 
+/// `(x / d, x % d)`, by shift and mask when `d` is a power of two (every
+/// shipped configuration): a hardware divide would cost tens of host
+/// cycles on every modelled access.
+#[inline]
+fn div_rem(x: usize, d: usize) -> (usize, usize) {
+    if d.is_power_of_two() {
+        (x >> d.trailing_zeros(), x & (d - 1))
+    } else {
+        (x / d, x % d)
+    }
+}
+
 /// The sharded cache model.
 pub struct CacheModel {
-    shards: Vec<Mutex<Shard>>,
+    shards: Vec<SpinMutex<Shard>>,
     sets_per_shard: usize,
     fidelity: CrashFidelity,
 }
@@ -53,7 +65,7 @@ impl CacheModel {
         let sets_per_shard = total_sets.div_ceil(shards);
         let shards = (0..shards)
             .map(|_| {
-                Mutex::new(Shard {
+                SpinMutex::new(Shard {
                     ways: (0..sets_per_shard * ways).map(|_| Way::default()).collect(),
 
                     assoc: ways,
@@ -72,9 +84,8 @@ impl CacheModel {
     fn locate(&self, line: u64) -> (usize, usize) {
         // Distribute consecutive lines round-robin over shards, then over
         // sets within the shard, so hot contiguous regions spread out.
-        let shard = (line as usize) % self.shards.len();
-        let set = ((line as usize) / self.shards.len()) % self.sets_per_shard;
-        (shard, set)
+        let (rest, shard) = div_rem(line as usize, self.shards.len());
+        (shard, div_rem(rest, self.sets_per_shard).1)
     }
 
     /// Simulate a load or store of `line`. For stores under full fidelity,
@@ -92,16 +103,14 @@ impl CacheModel {
         // Hit?
         for w in &mut sh.ways[base..base + assoc] {
             if w.tag == tag {
-                w.tick = tick;
-                if write
-                    && !w.dirty {
-                        w.dirty = true;
-                        if self.fidelity == CrashFidelity::Full {
-                            let mut img = Box::new([0u8; 64]);
-                            arena.read_line(line, &mut img);
-                            w.preimage = Some(img);
-                        }
+                if write && !w.dirty {
+                    w.dirty = true;
+                    if self.fidelity == CrashFidelity::Full {
+                        let mut img = Box::new([0u8; 64]);
+                        arena.read_line(line, &mut img);
+                        w.preimage = Some(img);
                     }
+                }
                 return AccessResult {
                     hit: true,
                     evicted_dirty: None,
@@ -128,7 +137,6 @@ impl CacheModel {
         let w = &mut sh.ways[victim];
         let evicted_dirty = if w.tag != 0 && w.dirty { Some(w.tag - 1) } else { None };
         w.tag = tag;
-        w.tick = tick;
         w.dirty = write;
         w.preimage = None;
         if write && self.fidelity == CrashFidelity::Full {

@@ -1,7 +1,8 @@
 //! [`MemCtx`] — a simulated thread's view of the platform.
 //!
 //! Every data-path access goes through a `MemCtx` so that it is charged to
-//! the thread's virtual clock and to the global media counters. The
+//! the thread's virtual clock and to the context's own access counters
+//! (summed device-wide, see [`crate::stats`]). The
 //! available operations mirror what the paper's code would use on real
 //! hardware: plain loads/stores (write-nf), `clwb`-style flushes plus
 //! `sfence` (write-f), non-temporal stores, and prefetches (the primitive
@@ -13,6 +14,7 @@ use crate::arena::PmAddr;
 use crate::cost::{CostModel, VClock};
 use crate::device::PmDevice;
 use crate::media::RecentReads;
+use crate::stats::Counters;
 use crate::vlock::HasClock;
 use crate::{line_of, CACHELINE};
 
@@ -21,6 +23,9 @@ const MAX_PREFETCH: usize = 16;
 /// Per-thread memory context. Not `Sync`: one per simulated thread.
 pub struct MemCtx {
     dev: Arc<PmDevice>,
+    /// This context's access counters (registered with the device, which
+    /// sums them; see [`crate::stats`]). Only this context writes them.
+    counters: Arc<Counters>,
     tid: u32,
     clock: VClock,
     recent: RecentReads,
@@ -46,6 +51,7 @@ impl MemCtx {
             crate::san::install_observer(san, tid);
         }
         Self {
+            counters: dev.counters.register(),
             dev,
             tid,
             clock,
@@ -64,6 +70,13 @@ impl MemCtx {
     /// The device this context belongs to.
     pub fn device(&self) -> &Arc<PmDevice> {
         &self.dev
+    }
+
+    /// This context's own counter block (tests check device totals
+    /// against per-context sums).
+    #[cfg(test)]
+    pub(crate) fn counters(&self) -> &Counters {
+        &self.counters
     }
 
     /// Current virtual time.
@@ -111,7 +124,7 @@ impl MemCtx {
     /// may unwind).
     #[inline]
     fn media_writeback(&mut self, line: u64) {
-        let co = self.dev.media.write_line(line, &self.dev.stats);
+        let co = self.dev.media.write_line(line, &self.counters);
         self.pm_write_account(co);
         self.dev.faults().on_media_write();
     }
@@ -124,7 +137,7 @@ impl MemCtx {
             san.on_evict(victim);
         }
         if let Some(victim) = r.evicted_dirty {
-            self.dev.stats.bump(|s| &s.dirty_evictions, 1);
+            self.counters.bump(|s| &s.dirty_evictions, 1);
             self.media_writeback(victim);
         }
         if let Some(t) = self.take_prefetch(line) {
@@ -132,15 +145,18 @@ impl MemCtx {
             self.clock.sync_to(t);
             self.clock.advance(self.cost().cache_hit_ns);
             if r.hit {
-                self.dev.stats.bump(|s| &s.read_hits, 1);
+                self.counters.bump(|s| &s.read_hits, 1);
             }
             return;
         }
         if r.hit {
-            self.dev.stats.bump(|s| &s.read_hits, 1);
+            self.counters.bump(|s| &s.read_hits, 1);
             self.clock.advance(self.cost().cache_hit_ns);
         } else {
-            let new_xp = self.dev.media.read_line(line, &mut self.recent, &self.dev.stats);
+            let new_xp = self
+                .dev
+                .media
+                .read_line(line, &mut self.recent, &self.counters);
             self.pm_read_wait(self.cost().pm_read_miss_ns, new_xp);
         }
     }
@@ -192,15 +208,18 @@ impl MemCtx {
             san.on_write(self.tid, line, r.evicted_dirty);
         }
         if let Some(victim) = r.evicted_dirty {
-            self.dev.stats.bump(|s| &s.dirty_evictions, 1);
+            self.counters.bump(|s| &s.dirty_evictions, 1);
             self.media_writeback(victim);
         }
         if r.hit {
-            self.dev.stats.bump(|s| &s.write_hits, 1);
+            self.counters.bump(|s| &s.write_hits, 1);
             self.clock.advance(self.cost().cache_hit_ns);
         } else {
             // Read-for-ownership.
-            let new_xp = self.dev.media.read_line(line, &mut self.recent, &self.dev.stats);
+            let new_xp = self
+                .dev
+                .media
+                .read_line(line, &mut self.recent, &self.counters);
             self.pm_read_wait(self.cost().pm_write_miss_ns, new_xp);
         }
     }
@@ -339,7 +358,7 @@ impl MemCtx {
                 }
                 self.media_writeback(line);
             }
-            self.dev.stats.bump(|s| &s.ntstores, 1);
+            self.counters.bump(|s| &s.ntstores, 1);
             // Store this line's slice before its writeback retires: the
             // fault plan may end the run at that writeback, and the slice
             // is then already part of the durable image (a partially
@@ -369,10 +388,10 @@ impl MemCtx {
         let dirty = self.dev.cache.flush(line);
         if let Some(san) = &self.dev.san {
             crate::san::install_observer(san, self.tid);
-            san.on_flush(self.tid, line, dirty, &self.dev.stats);
+            san.on_flush(self.tid, line, dirty, &self.counters);
         }
         if dirty {
-            self.dev.stats.bump(|s| &s.flushes, 1);
+            self.counters.bump(|s| &s.flushes, 1);
             self.media_writeback(line);
             let done = self.clock.now() + self.cost().flush_drain_ns;
             self.outstanding_t = self.outstanding_t.max(done);
@@ -393,7 +412,7 @@ impl MemCtx {
     pub fn fence(&mut self) {
         if let Some(san) = &self.dev.san {
             crate::san::install_observer(san, self.tid);
-            san.on_fence(self.tid, &self.dev.stats);
+            san.on_fence(self.tid, &self.counters);
         }
         self.clock.sync_to(self.outstanding_t);
         self.clock.advance(self.cost().fence_ns);
@@ -417,12 +436,14 @@ impl MemCtx {
         let completion = start + self.cost().pm_read_miss_ns;
         self.prefetch[self.prefetch_len] = (line, completion);
         self.prefetch_len += 1;
-        self.dev.media.read_line(line, &mut self.recent, &self.dev.stats);
+        self.dev
+            .media
+            .read_line(line, &mut self.recent, &self.counters);
         if let Some(victim) = self.dev.cache.install_clean(line, &self.dev.arena) {
             if let Some(san) = &self.dev.san {
                 san.on_evict(victim);
             }
-            self.dev.stats.bump(|s| &s.dirty_evictions, 1);
+            self.counters.bump(|s| &s.dirty_evictions, 1);
             self.media_writeback(victim);
         }
         // Issuing the prefetch instruction itself is nearly free.
@@ -431,7 +452,7 @@ impl MemCtx {
 
     /// Charge `n` DRAM accesses (volatile directory, hot-key list, ...).
     pub fn charge_dram(&mut self, n: u64) {
-        self.dev.stats.bump(|s| &s.dram_accesses, n);
+        self.counters.bump(|s| &s.dram_accesses, n);
         self.clock.advance(n * self.cost().dram_ns);
     }
 
@@ -446,7 +467,7 @@ impl MemCtx {
     /// priced at cache-hit latency, the same simplification
     /// [`Self::charge_dram_cached`] applies to the directory.
     pub fn charge_dram_hot(&mut self, n: u64) {
-        self.dev.stats.bump(|s| &s.dram_accesses, n);
+        self.counters.bump(|s| &s.dram_accesses, n);
         self.clock.advance(n * self.cost().cache_hit_ns);
     }
 
@@ -456,35 +477,36 @@ impl MemCtx {
     }
 
     /// Run `f` inside the named attribution span ([`crate::span`]): every
-    /// counter increment this thread charges while `f` runs is mirrored
-    /// into the span's own [`crate::stats::PmStats`], and the span's
-    /// inclusive virtual time advances by what `f` cost. Names outside the
-    /// canonical [`crate::span::SPAN_NAMES`] set are a pass-through no-op
-    /// (asserted in debug builds so typos fail tier-1 tests).
+    /// counter increment this context charges while `f` runs is also
+    /// charged to the span's own counters, and the span's inclusive
+    /// virtual time advances by what `f` cost. Names outside the canonical
+    /// [`crate::span::SPAN_NAMES`] set are a pass-through no-op (asserted
+    /// in debug builds so typos fail tier-1 tests).
     ///
-    /// Nesting attributes counters to the innermost span. The thread-local
-    /// active-span slot is restored on unwind (crash-point fault injection
-    /// exits operations by panicking).
+    /// Nesting attributes counters to the innermost span. The active span
+    /// is restored on unwind (crash-point fault injection exits operations
+    /// by panicking).
     pub fn stats_span<R>(&mut self, name: &str, f: impl FnOnce(&mut Self) -> R) -> R {
-        let Some(cell) = self.dev.spans().cell(name).cloned() else {
+        let Some(idx) = crate::span::index_of(name) else {
             debug_assert!(false, "stats_span: {name:?} is not a canonical span name");
             return f(self);
         };
-        struct Guard(Option<Option<Arc<crate::span::SpanCell>>>);
-        impl Drop for Guard {
+        /// Restores the enclosing span when dropped, unwinds included.
+        struct Scope<'a> {
+            ctx: &'a mut MemCtx,
+            prev: usize,
+        }
+        impl Drop for Scope<'_> {
             fn drop(&mut self) {
-                if let Some(prev) = self.0.take() {
-                    crate::span::restore(prev);
-                }
+                self.ctx.counters.leave(self.prev);
             }
         }
         let t0 = self.clock.now();
-        let mut guard = Guard(Some(crate::span::enter(&cell)));
-        let r = f(self);
-        if let Some(prev) = guard.0.take() {
-            crate::span::restore(prev);
-        }
-        cell.note_vtime(self.clock.now().saturating_sub(t0));
+        let prev = self.counters.enter(idx);
+        let scope = Scope { ctx: self, prev };
+        let r = f(scope.ctx);
+        let spent = scope.ctx.clock.now().saturating_sub(t0);
+        scope.ctx.counters.note_vtime(idx, spent);
         r
     }
 
@@ -532,6 +554,13 @@ impl MemCtx {
         if let Some(san) = &self.dev.san {
             san.set_op_label(self.tid, label);
         }
+    }
+}
+
+impl Drop for MemCtx {
+    /// Fold this context's counters into the device totals.
+    fn drop(&mut self) {
+        self.dev.counters.retire(&self.counters);
     }
 }
 

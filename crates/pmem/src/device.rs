@@ -10,8 +10,8 @@ use crate::ctx::MemCtx;
 use crate::fault::FaultPlan;
 use crate::media::Media;
 use crate::san::San;
-use crate::span::{SpanLedger, SpanSnapshot};
-use crate::stats::{PmStats, StatsSnapshot};
+use crate::span::{SpanSnapshot, SPAN_NAMES};
+use crate::stats::{Counters, Registry, StatsSnapshot};
 
 /// What a simulated power failure did to the cache, for per-crash-point
 /// reporting by the fault-injection harness.
@@ -34,7 +34,9 @@ pub struct PmDevice {
     pub(crate) arena: Arena,
     pub(crate) cache: CacheModel,
     pub(crate) media: Media,
-    pub(crate) stats: PmStats,
+    /// Access counters: one block per live [`MemCtx`] plus the sums of
+    /// dropped ones ([`crate::stats`]).
+    pub(crate) counters: Registry,
     next_tid: AtomicU32,
     /// Monotonic virtual-time floor: new contexts start here, so virtual
     /// timestamps persisted in lock/HTM metadata by earlier phases can
@@ -60,9 +62,6 @@ pub struct PmDevice {
     /// Persistence-ordering sanitizer ([`crate::san`]); present only when
     /// [`PmConfig::san`] is set.
     pub(crate) san: Option<Arc<San>>,
-    /// Per-phase attribution spans ([`crate::span`]); the set is fixed at
-    /// construction so lookup is lock-free.
-    spans: SpanLedger,
 }
 
 impl PmDevice {
@@ -77,14 +76,13 @@ impl PmDevice {
                 cfg.fidelity,
             ),
             media: Media::new(cfg.xpbuffer_slots),
-            stats: PmStats::default(),
+            counters: Registry::default(),
             next_tid: AtomicU32::new(0),
             vtime_floor: AtomicU64::new(0),
             sim_horizon: AtomicU64::new(0),
             rmw_release: (0..(1 << 20)).map(|_| AtomicU64::new(0)).collect(),
             faults: FaultPlan::default(),
             san: cfg.san.map(|mode| Arc::new(San::new(mode, cfg.domain))),
-            spans: SpanLedger::new(),
             cfg,
         })
     }
@@ -148,37 +146,46 @@ impl PmDevice {
         &self.rmw_release[i & 0xf_ffff]
     }
 
-    /// Snapshot the global access counters.
+    /// Snapshot the device-wide access counters: every context's, live
+    /// or dropped, plus harness-level traffic.
     pub fn snapshot(&self) -> StatsSnapshot {
-        self.stats.snapshot()
+        self.counters.snapshot()
     }
 
-    /// The per-phase attribution spans.
-    pub fn spans(&self) -> &SpanLedger {
-        &self.spans
-    }
-
-    /// Snapshot every attribution span, in deterministic
-    /// [`crate::span::SPAN_NAMES`] order.
+    /// Snapshot every attribution span, summed over contexts, in
+    /// deterministic [`crate::span::SPAN_NAMES`] order.
     pub fn span_totals(&self) -> Vec<(&'static str, SpanSnapshot)> {
-        self.spans.totals()
+        SPAN_NAMES
+            .into_iter()
+            .zip(self.counters.span_totals())
+            .collect()
+    }
+
+    /// Run harness-level media traffic (no context, no span) against a
+    /// temporary counter block, then fold it into the device totals.
+    fn harness(&self, f: impl FnOnce(&Counters)) {
+        let c = Counters::default();
+        f(&c);
+        self.counters.fold(&c);
     }
 
     /// Retire everything buffered in the XPBuffer so media counters reflect
     /// all traffic so far. Does *not* flush the cache: under eADR, dirty
     /// cached data legitimately never reaches media.
     pub fn quiesce(&self) {
-        self.media.drain(&self.stats);
+        self.harness(|c| self.media.drain(c));
     }
 
     /// Write back every dirty cacheline and retire the XPBuffer. Used by
     /// tests that want the arena, media counters, and cache to agree.
     pub fn flush_cache_all(&self) {
-        for line in self.cache.flush_all() {
-            self.stats.flushes.fetch_add(1, Ordering::Relaxed);
-            self.media.write_line(line, &self.stats);
-        }
-        self.media.drain(&self.stats);
+        self.harness(|c| {
+            for line in self.cache.flush_all() {
+                c.bump(|s| &s.flushes, 1);
+                self.media.write_line(line, c);
+            }
+            self.media.drain(c);
+        });
         if let Some(san) = &self.san {
             san.persist_all();
         }
@@ -187,10 +194,12 @@ impl PmDevice {
     /// Write back and evict the whole cache (`wbinvd`-style). Benchmarks
     /// and tests use it to measure cold-cache access counts.
     pub fn invalidate_cache(&self) {
-        for line in self.cache.invalidate_all() {
-            self.media.write_line(line, &self.stats);
-        }
-        self.media.drain(&self.stats);
+        self.harness(|c| {
+            for line in self.cache.invalidate_all() {
+                self.media.write_line(line, c);
+            }
+            self.media.drain(c);
+        });
         if let Some(san) = &self.san {
             san.persist_all();
         }
@@ -209,10 +218,12 @@ impl PmDevice {
     /// reserved energy flushed (eADR) or the crash reverted (ADR).
     pub fn simulate_power_failure(&self) -> CrashReport {
         let (flushed, reverted) = self.cache.power_failure(self.cfg.domain, &self.arena);
-        for &line in &flushed {
-            self.media.write_line(line, &self.stats);
-        }
-        self.media.drain(&self.stats);
+        self.harness(|c| {
+            for &line in &flushed {
+                self.media.write_line(line, c);
+            }
+            self.media.drain(c);
+        });
         let mut report = CrashReport {
             flushed_lines: flushed,
             reverted_lines: reverted,

@@ -49,7 +49,7 @@ pub use device::{CrashReport, PmDevice};
 pub use fault::{CrashPointHit, FaultPlan};
 pub use san::{San, SanMode, SanReport, SanViolation, SanViolationKind};
 pub use schedhook::{SchedHook, SyncEvent};
-pub use span::{SpanLedger, SpanSnapshot, SPAN_COMPACTION, SPAN_LOG_REPLAY, SPAN_NAMES, SPAN_PROBE, SPAN_SPLIT};
+pub use span::{SpanSnapshot, SPAN_COMPACTION, SPAN_LOG_REPLAY, SPAN_NAMES, SPAN_PROBE, SPAN_SPLIT};
 pub use stats::{StatsDelta, StatsSnapshot};
 pub use vlock::{VLock, VRwLock};
 

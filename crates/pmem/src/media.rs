@@ -13,9 +13,9 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::sync::Mutex;
+use crate::sync::SpinMutex;
 
-use crate::stats::PmStats;
+use crate::stats::Counters;
 use crate::{CACHELINE, XPLINE};
 
 struct Slot {
@@ -31,7 +31,7 @@ struct XpBuffer {
 
 /// The media model. One per [`crate::PmDevice`].
 pub struct Media {
-    buf: Mutex<XpBuffer>,
+    buf: SpinMutex<XpBuffer>,
     /// Virtual-time service token of the media's read port: each XPLine
     /// read occupies it for `XPLINE / read_bw`. Readers queue behind it —
     /// this is what makes PM latency inflate as bandwidth saturates
@@ -45,7 +45,7 @@ pub struct Media {
 impl Media {
     pub fn new(xpbuffer_slots: usize) -> Self {
         Self {
-            buf: Mutex::new(XpBuffer {
+            buf: SpinMutex::new(XpBuffer {
                 slots: VecDeque::with_capacity(xpbuffer_slots),
                 capacity: xpbuffer_slots,
             }),
@@ -85,7 +85,7 @@ impl Media {
 
     /// A cacheline writeback arrives at the DIMM. Returns `true` if it was
     /// coalesced into an already-buffered XPLine.
-    pub fn write_line(&self, line: u64, stats: &PmStats) -> bool {
+    pub(crate) fn write_line(&self, line: u64, stats: &Counters) -> bool {
         stats.bump(|s| &s.cl_writes, 1);
         let xp = line / (XPLINE / CACHELINE);
         let bit = 1u8 << (line % (XPLINE / CACHELINE));
@@ -109,7 +109,7 @@ impl Media {
     /// XPLine cost a single media read. Returns `true` when a new XPLine
     /// was actually read from media (the caller reserves read bandwidth
     /// only then).
-    pub fn read_line(&self, line: u64, recent: &mut RecentReads, stats: &PmStats) -> bool {
+    pub(crate) fn read_line(&self, line: u64, recent: &mut RecentReads, stats: &Counters) -> bool {
         stats.bump(|s| &s.cl_reads, 1);
         let xp = line / (XPLINE / CACHELINE);
         if !recent.contains(xp) {
@@ -123,12 +123,12 @@ impl Media {
 
     /// Retire every buffered XPLine (power failure, or quiescing before a
     /// stats readout).
-    pub fn drain(&self, stats: &PmStats) {
+    pub(crate) fn drain(&self, stats: &Counters) {
         let mut buf = self.buf.lock();
         let n = buf.slots.len() as u64;
         buf.slots.clear();
-        stats.xp_writes.fetch_add(n, Ordering::Relaxed);
-        stats.media_write_bytes.fetch_add(n * XPLINE, Ordering::Relaxed);
+        stats.bump(|s| &s.xp_writes, n);
+        stats.bump(|s| &s.media_write_bytes, n * XPLINE);
     }
 }
 
@@ -170,8 +170,8 @@ impl RecentReads {
 mod tests {
     use super::*;
 
-    fn setup() -> (Media, PmStats) {
-        (Media::new(4), PmStats::default())
+    fn setup() -> (Media, Counters) {
+        (Media::new(4), Counters::default())
     }
 
     #[test]

@@ -37,7 +37,7 @@
 //! * **Redundant flushes / no-op fences** (perf diagnostics, both
 //!   domains): a `clwb` that found the line clean, and an `sfence` with
 //!   no outstanding flush or ntstore — pure wasted PM-ordering cost,
-//!   counted into [`crate::stats::PmStats`].
+//!   counted into the flushing context's [`crate::stats::PmStats`].
 //! * **Dirty lines at crash time**: lines the ADR power-failure revert
 //!   rolled back, rendered with their allocation-region tag so a failed
 //!   crash-point recovery names what was lost.
@@ -62,7 +62,7 @@ use std::sync::{Arc, Mutex, PoisonError, Weak};
 use crate::config::PersistenceDomain;
 use crate::device::CrashReport;
 use crate::schedhook::SyncEvent;
-use crate::stats::PmStats;
+use crate::stats::Counters;
 use crate::CACHELINE;
 
 /// How strictly publication edges are checked (see module docs).
@@ -305,7 +305,7 @@ impl San {
 
     /// A `clwb` of `line` by `tid`; `cache_dirty` is what the modelled
     /// cache found (a clean hit means the flush moved no data).
-    pub(crate) fn on_flush(&self, tid: u32, line: u64, cache_dirty: bool, stats: &PmStats) {
+    pub(crate) fn on_flush(&self, tid: u32, line: u64, cache_dirty: bool, stats: &Counters) {
         let mut inner = self.lock();
         if cache_dirty {
             inner.lines.insert(line, LState::FlushedUnfenced { by: tid });
@@ -343,7 +343,7 @@ impl San {
 
     /// An `sfence` by `tid`: orders (persists, in shadow state) every
     /// flush this thread has issued since its last fence.
-    pub(crate) fn on_fence(&self, tid: u32, stats: &PmStats) {
+    pub(crate) fn on_fence(&self, tid: u32, stats: &Counters) {
         let mut inner = self.lock();
         let ts = inner.tids.entry(tid).or_default();
         if ts.pending.is_empty() && !ts.nt_unfenced {

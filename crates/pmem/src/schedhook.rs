@@ -29,9 +29,11 @@
 //! scheduler runs one task at a time, so a host-level block deadlocks the
 //! whole schedule. [`crate::sync::Mutex`]/[`crate::sync::RwLock`] honour
 //! this by spinning on `try_lock` with a [`SyncEvent::SpinWait`] yield
-//! between attempts whenever a hook is active (see `sync.rs`).
+//! between attempts whenever a hook is active (see `sync.rs`);
+//! [`crate::sync::SpinMutex`] always spins that way, and its critical
+//! sections contain no sync point at all.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
 /// One modelled synchronization instant. The payload identifies the
@@ -86,6 +88,9 @@ pub trait SchedHook: Send + Sync {
 
 thread_local! {
     static HOOK: RefCell<Option<Arc<dyn SchedHook>>> = const { RefCell::new(None) };
+    /// Mirrors `HOOK.is_some()`, so the hook-free hot path is one plain
+    /// thread-local read instead of a `RefCell` borrow.
+    static ACTIVE: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Install `hook` for the calling thread. Panics if one is already
@@ -96,17 +101,19 @@ pub fn install(hook: Arc<dyn SchedHook>) {
         assert!(h.is_none(), "a scheduler hook is already installed on this thread");
         *h = Some(hook);
     });
+    ACTIVE.with(|a| a.set(true));
 }
 
 /// Remove the calling thread's hook (no-op if none).
 pub fn clear() {
+    ACTIVE.with(|a| a.set(false));
     HOOK.with(|h| h.borrow_mut().take());
 }
 
 /// Is a hook installed on the calling thread?
 #[inline]
 pub fn active() -> bool {
-    HOOK.with(|h| h.borrow().is_some())
+    ACTIVE.with(Cell::get)
 }
 
 /// Report a sync point. Dispatches to the installed hook; without one,
@@ -117,15 +124,22 @@ pub fn sync_point(ev: SyncEvent) {
     // Visibility edges feed the persistence-ordering sanitizer first
     // (publication checks happen whether or not a scheduler is driving).
     crate::san::observe_event(ev);
-    // Clone the Arc out instead of calling under the borrow: the hook may
-    // block for a long time, and a panic unwinding through a held RefCell
-    // borrow would poison every later sync point on this thread.
-    let hook = HOOK.with(|h| h.borrow().clone());
-    match hook {
-        Some(h) => h.sync_point(ev),
-        None if ev.is_blocking() => std::thread::yield_now(),
-        None => {}
+    if !active() {
+        if ev.is_blocking() {
+            std::thread::yield_now();
+        }
+        return;
     }
+    // Call under the shared borrow rather than cloning the `Arc` (two
+    // atomic RMWs per sync point). The hook may block for a long time, but
+    // only `install`/`clear` borrow the slot mutably and no hook calls
+    // them; a hook that panics (a scheduler crash) releases the borrow as
+    // it unwinds.
+    HOOK.with(|h| {
+        if let Some(h) = h.borrow().as_deref() {
+            h.sync_point(ev);
+        }
+    });
 }
 
 /// Shorthand for the ubiquitous busy-wait yield: under real threads this
@@ -134,6 +148,14 @@ pub fn sync_point(ev: SyncEvent) {
 #[inline]
 pub fn spin_wait() {
     sync_point(SyncEvent::SpinWait);
+}
+
+/// Cede the host CPU without reporting a sync point: the wait of
+/// [`crate::sync::SpinMutex::lock_unscheduled`], which must never become a
+/// scheduler decision.
+#[inline]
+pub(crate) fn host_yield() {
+    std::thread::yield_now();
 }
 
 #[cfg(test)]
@@ -169,6 +191,26 @@ mod tests {
         assert!(!active());
         sync_point(SyncEvent::HtmBegin);
         assert_eq!(c.0.load(Ordering::Relaxed), 2);
+    }
+
+    struct Crash;
+    impl SchedHook for Crash {
+        fn sync_point(&self, _ev: SyncEvent) {
+            panic!("scheduler crash");
+        }
+    }
+
+    #[test]
+    fn panicking_hook_leaves_the_slot_usable() {
+        install(Arc::new(Crash));
+        let r = std::panic::catch_unwind(|| sync_point(SyncEvent::HtmBegin));
+        assert!(r.is_err());
+        clear();
+        let c = Arc::new(Counter(AtomicU64::new(0)));
+        install(c.clone());
+        sync_point(SyncEvent::HtmBegin);
+        clear();
+        assert_eq!(c.0.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -12,27 +12,30 @@
 //!
 //! Design constraints, in order:
 //!
-//! * **No new synchronization on the data path.** The span set is *fixed* at
-//!   device construction ([`SPAN_NAMES`]) and looked up by linear scan over
-//!   a plain `Vec`, so entering a span takes no lock and injects no sync
-//!   point into HTM regions or deterministically scheduled interleavings.
+//! * **No shared writes on the data path.** Span counters live in the
+//!   [`crate::stats::Counters`] block of the context that charges them,
+//!   next to its run totals, and the active span is an index into that
+//!   block. Entering a span bumps its entry count and swaps the index;
+//!   attributing an increment is one more relaxed load+store on a line no
+//!   other thread writes. No lock, no thread-local, no reference
+//!   counting, and no sync point is injected into HTM regions or
+//!   deterministically scheduled interleavings. The span set is fixed
+//!   ([`SPAN_NAMES`]) so every block has a slot for every span.
 //! * **Unwind safety.** Crash-point fault injection ends runs by panicking
-//!   out of arbitrary PM writes; the thread-local active-span slot is
-//!   restored by a drop guard so a caught unwind cannot leak a span into
-//!   the next operation on that thread.
-//! * **Determinism.** Span counters are plain relaxed atomics fed by the
-//!   same increments as the global counters; single-threaded runs produce
-//!   bit-identical span snapshots, which is what lets the compare gate hold
-//!   them to exact equality.
+//!   out of arbitrary PM writes; the active-span index is restored by a
+//!   drop guard, so a caught unwind cannot leak a span into the next
+//!   operation on that context.
+//! * **Determinism.** Span counters are fed by the same increments as the
+//!   totals, and device-wide span totals are plain sums over contexts, so
+//!   single-threaded runs produce bit-identical span snapshots. That is
+//!   what lets the compare gate hold them to exact equality.
 //!
 //! Nesting attributes counters to the *innermost* span only (the inner
 //! span's guard parks the outer one), while virtual time is inclusive —
 //! a split entered from a probe charges its counters to `split` and its
 //! wall of virtual time to both.
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use crate::stats::{PmStats, StatsSnapshot};
 
@@ -46,36 +49,27 @@ pub const SPAN_PROBE: &str = "probe";
 /// Recovery-time log replay / structure rebuild.
 pub const SPAN_LOG_REPLAY: &str = "log_replay";
 
-/// The canonical span set. Fixed at device construction so span lookup is
-/// lock-free; `stats_span` with any other name is a pass-through no-op
+/// The canonical span set. Fixed, so every counter block has one slot per
+/// span; `stats_span` with any other name is a pass-through no-op
 /// (debug builds assert, so typos are caught by tier-1 tests).
 pub const SPAN_NAMES: [&str; 4] = [SPAN_SPLIT, SPAN_COMPACTION, SPAN_PROBE, SPAN_LOG_REPLAY];
 
-/// One span's accumulators. Shared by all threads of a device.
-pub struct SpanCell {
-    name: &'static str,
-    entries: AtomicU64,
-    vtime_ns: AtomicU64,
-    stats: PmStats,
+/// The position of `name` in [`SPAN_NAMES`] (linear scan of four).
+pub(crate) fn index_of(name: &str) -> Option<usize> {
+    SPAN_NAMES.iter().position(|n| *n == name)
 }
 
-impl SpanCell {
-    fn new(name: &'static str) -> Self {
-        Self {
-            name,
-            entries: AtomicU64::new(0),
-            vtime_ns: AtomicU64::new(0),
-            stats: PmStats::default(),
-        }
-    }
+/// One span's accumulators within one context's counter block.
+#[derive(Default)]
+pub(crate) struct SpanCounters {
+    entries: AtomicU64,
+    vtime_ns: AtomicU64,
+    pub(crate) stats: PmStats,
+}
 
-    /// The span's canonical name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
+impl SpanCounters {
     /// Point-in-time copy of the span's accumulators.
-    pub fn snapshot(&self) -> SpanSnapshot {
+    pub(crate) fn snapshot(&self) -> SpanSnapshot {
         SpanSnapshot {
             entries: self.entries.load(Ordering::Relaxed),
             vtime_ns: self.vtime_ns.load(Ordering::Relaxed),
@@ -83,12 +77,19 @@ impl SpanCell {
         }
     }
 
+    // Single writer, like `PmStats::bump`: load+store, no RMW.
+    pub(crate) fn note_entry(&self) {
+        let n = self.entries.load(Ordering::Relaxed);
+        self.entries.store(n + 1, Ordering::Relaxed);
+    }
+
     pub(crate) fn note_vtime(&self, ns: u64) {
-        self.vtime_ns.fetch_add(ns, Ordering::Relaxed);
+        let t = self.vtime_ns.load(Ordering::Relaxed);
+        self.vtime_ns.store(t + ns, Ordering::Relaxed);
     }
 }
 
-/// A point-in-time copy of one [`SpanCell`].
+/// A point-in-time copy of one span's accumulators.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SpanSnapshot {
     /// Times the span was entered.
@@ -114,58 +115,12 @@ impl SpanSnapshot {
     pub fn is_zero(&self) -> bool {
         *self == SpanSnapshot::default()
     }
-}
 
-/// The device's fixed set of span cells, in [`SPAN_NAMES`] order.
-pub struct SpanLedger {
-    cells: Vec<Arc<SpanCell>>,
-}
-
-impl SpanLedger {
-    pub(crate) fn new() -> Self {
-        Self {
-            cells: SPAN_NAMES.iter().map(|n| Arc::new(SpanCell::new(n))).collect(),
-        }
+    pub(crate) fn accumulate(&mut self, other: &SpanSnapshot) {
+        self.entries += other.entries;
+        self.vtime_ns += other.vtime_ns;
+        self.stats.accumulate(&other.stats);
     }
-
-    /// Look up a span cell by canonical name (lock-free linear scan).
-    pub fn cell(&self, name: &str) -> Option<&Arc<SpanCell>> {
-        self.cells.iter().find(|c| c.name == name)
-    }
-
-    /// Snapshot every span, in deterministic [`SPAN_NAMES`] order.
-    pub fn totals(&self) -> Vec<(&'static str, SpanSnapshot)> {
-        self.cells.iter().map(|c| (c.name, c.snapshot())).collect()
-    }
-}
-
-thread_local! {
-    /// The innermost active span of the current OS thread. Simulated
-    /// threads map 1:1 onto OS threads (scoped-thread harness), so
-    /// thread-local is the right scope and costs no synchronization.
-    static CURRENT: RefCell<Option<Arc<SpanCell>>> = const { RefCell::new(None) };
-}
-
-/// Mirror a counter increment into the innermost active span, if any.
-/// Called by [`PmStats::bump`] for every data-path increment.
-#[inline]
-pub(crate) fn mirror(pick: fn(&PmStats) -> &AtomicU64, n: u64) {
-    CURRENT.with(|c| {
-        if let Some(cell) = c.borrow().as_deref() {
-            pick(&cell.stats).fetch_add(n, Ordering::Relaxed);
-        }
-    });
-}
-
-/// Make `cell` the thread's innermost span; returns the previous one.
-pub(crate) fn enter(cell: &Arc<SpanCell>) -> Option<Arc<SpanCell>> {
-    cell.entries.fetch_add(1, Ordering::Relaxed);
-    CURRENT.with(|c| c.borrow_mut().replace(Arc::clone(cell)))
-}
-
-/// Restore the previous innermost span (drop-guard path).
-pub(crate) fn restore(prev: Option<Arc<SpanCell>>) {
-    CURRENT.with(|c| *c.borrow_mut() = prev);
 }
 
 #[cfg(test)]

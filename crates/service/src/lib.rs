@@ -53,9 +53,10 @@ use pool::{BatchBuf, BatchPool, ValueRef};
 /// Magic stamped (xor shard id) into every journal record line.
 pub const JOURNAL_MAGIC: u64 = 0x5350_4153_484a_4c31; // "SPASHJL1"
 
-/// Bytes per journal record: one XPLine, so an ADR record publication is
-/// a single-line flush and the record is torn-write-free (a power cut
-/// either reverts or persists the whole line).
+/// Bytes per journal record: one 64 B cacheline (a quarter of a 256 B
+/// XPLine), so an ADR record publication is a single-line flush and the
+/// record is torn-write-free (a power cut either reverts or persists the
+/// whole cacheline).
 pub const RECORD_BYTES: u64 = 64;
 
 /// Hash-partitioned routing: which shard owns `key`. Uses the shared
@@ -420,7 +421,7 @@ impl Service {
         // move get payloads into the epoch-managed batch buffer.
         let mut enc: Vec<u8> = Vec::with_capacity(out.len() * 16);
         let mut replies = Vec::with_capacity(out.len());
-        for (req, res) in batch.reqs.iter().zip(out.into_iter()) {
+        for (req, res) in batch.reqs.iter().zip(out) {
             enc.extend_from_slice(&req.op.key().to_le_bytes());
             let reply = match res {
                 BatchResult::Inserted(r) => {

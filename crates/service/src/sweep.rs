@@ -142,11 +142,10 @@ fn drive(svc: &Service, ctx: &mut MemCtx, ops: &[SweepOp], log: &RefCell<RunLog>
     let mut on_invoke = |reqs: &mut [ClientReq]| {
         log.borrow_mut().in_flight = Some(reqs.iter().map(|r| r.session as usize).collect());
     };
-    let shards = svc.config().shards;
     let mut active = true;
     while active {
         active = false;
-        for shard in 0..shards {
+        for (shard, shard_stats) in stats.iter_mut().enumerate() {
             let mut deliver = |_ctx: &mut MemCtx, pool: &crate::pool::BatchPool, replies: crate::BatchReplies| {
                 let mut l = log.borrow_mut();
                 l.acked.push(AckedBatch {
@@ -157,8 +156,7 @@ fn drive(svc: &Service, ctx: &mut MemCtx, ops: &[SweepOp], log: &RefCell<RunLog>
                 l.in_flight = None;
                 replies.retire(pool);
             };
-            if svc.run_shard_step(ctx, shard, t0, &mut stats[shard], &mut on_invoke, &mut deliver)
-            {
+            if svc.run_shard_step(ctx, shard, t0, shard_stats, &mut on_invoke, &mut deliver) {
                 active = true;
             }
         }

@@ -65,7 +65,7 @@ impl ArrivalGen {
     pub fn new(cfg: OpenLoopConfig) -> Self {
         assert!(cfg.sessions >= 1);
         Self {
-            rng: Rng64::new(cfg.seed ^ 0x0a11_0f_a11_5eed),
+            rng: Rng64::new(cfg.seed ^ 0xa110_fa11_5eed),
             cfg,
             clock_ns: 0,
         }

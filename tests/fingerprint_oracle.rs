@@ -23,10 +23,11 @@
 //!   overlay invalidation → a cached bucket image survives its segment's
 //!   split and serves pre-split values after a post-split update.
 //!
-//! The canary hooks are process-global, so every test that flips one
-//! holds [`hook_lock`] and restores the hook even on panic. Regression
-//! seeds for the sibling property suites live in
-//! `tests/proptest_substrates.proptest-regressions`.
+//! The canary hooks are process-global, so every test holds
+//! [`hook_lock`] — the ones that flip a hook so they can restore it even
+//! on panic, the rest so a concurrently running canary cannot corrupt
+//! their index mid-run. Regression seeds for the sibling property suites
+//! live in `tests/proptest_substrates.proptest-regressions`.
 
 use std::collections::HashMap;
 
@@ -136,9 +137,9 @@ fn churn(
             1 => {
                 let v = gen_val(rng, k ^ 0x77);
                 let r = idx.update(ctx, k, &v);
-                if model.contains_key(&k) {
+                if let Some(slot) = model.get_mut(&k) {
                     r.unwrap_or_else(|e| panic!("{tag}: update({k}) failed: {e:?}"));
-                    model.insert(k, v);
+                    *slot = v;
                 } else {
                     assert!(r.is_err(), "{tag}: update of absent {k} succeeded");
                 }
@@ -163,6 +164,8 @@ fn churn(
 
 #[test]
 fn fingerprinted_path_matches_oracle_across_seeds() {
+    // The canaries flip process-global hooks these runs would observe.
+    let _guard = hook_lock();
     for case in 0..12u64 {
         let dev = PmDevice::new(pm());
         let mut ctx = dev.ctx();
@@ -197,6 +200,8 @@ fn fingerprinted_path_matches_oracle_under_forced_tag_collisions() {
 
 #[test]
 fn fingerprinted_path_matches_oracle_across_splits() {
+    // The canaries flip process-global hooks these runs would observe.
+    let _guard = hook_lock();
     let dev = PmDevice::new(pm());
     let mut ctx = dev.ctx();
     let idx = Spash::format(&mut ctx, SpashConfig::test_default()).unwrap();
@@ -225,6 +230,8 @@ fn fingerprinted_path_matches_oracle_across_splits() {
 
 #[test]
 fn fingerprinted_path_matches_oracle_across_crash_recover_cycles() {
+    // The canaries flip process-global hooks these runs would observe.
+    let _guard = hook_lock();
     let dev = PmDevice::new(eadr());
     let mut model = HashMap::new();
     let mut rng = Rng64::new(0xCAFE);

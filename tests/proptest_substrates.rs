@@ -22,7 +22,7 @@ enum AllocOp {
 /// Weighted 3:2:1 like the original strategy.
 fn alloc_op(rng: &mut Rng64) -> AllocOp {
     match rng.below(6) {
-        0 | 1 | 2 => AllocOp::Alloc(1 + rng.below(3999)),
+        0..=2 => AllocOp::Alloc(1 + rng.below(3999)),
         3 | 4 => AllocOp::FreeNth(rng.next_u64() as usize),
         _ => AllocOp::Segment,
     }

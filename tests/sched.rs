@@ -13,7 +13,6 @@ use spash_repro::index_api::crashpoint::{CrashTarget, SweepOp};
 use spash_repro::index_api::history::{self, Recorder};
 use spash_repro::pmem::{PersistenceDomain, PmConfig, PmDevice};
 use spash_repro::sched::explore::{explore, ExploreConfig};
-use spash_repro::sched::lin::{run_schedule, LinConfig};
 use spash_repro::sched::{run_tasks, SchedConfig};
 use spash_repro::spash::{Spash, SpashConfig};
 
