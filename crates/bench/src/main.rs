@@ -270,6 +270,23 @@ fn probes(scale: &Scale) {
     }
 }
 
+/// A `u64` environment knob, decimal or `0x` hex; `default` when unset
+/// or unparsable.
+fn knob(name: &str, default: u64) -> u64 {
+    std::env::var(name)
+        .ok()
+        .and_then(|v| parse_knob(&v))
+        .unwrap_or(default)
+}
+
+fn parse_knob(v: &str) -> Option<u64> {
+    let v = v.trim().to_ascii_lowercase();
+    match v.strip_prefix("0x") {
+        Some(h) => u64::from_str_radix(h, 16).ok(),
+        None => v.parse().ok(),
+    }
+}
+
 /// Deterministic schedule exploration with linearizability checking
 /// (DESIGN.md, "Deterministic schedule exploration"; recipe in
 /// EXPERIMENTS.md): run seeded concurrent workloads under the cooperative
@@ -299,13 +316,6 @@ fn sched_explore(want_distinct: u64) {
     use spash_sched::explore::{explore, ExploreConfig, SeedFailure};
     use spash_sched::lin::LinConfig;
     use spash_sched::{SchedConfig, SchedMode};
-
-    fn knob(name: &str, default: u64) -> u64 {
-        std::env::var(name)
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(default)
-    }
 
     #[derive(Clone, Copy, PartialEq)]
     enum Mutation {
@@ -503,19 +513,6 @@ fn crashpoints() {
     use spash_index_api::crashpoint::{run_sweep, CrashTarget, SweepConfig};
     use spash_pmem::{fault, PersistenceDomain};
 
-    fn knob(name: &str, default: u64) -> u64 {
-        std::env::var(name)
-            .ok()
-            .and_then(|v| {
-                let v = v.trim().to_ascii_lowercase();
-                match v.strip_prefix("0x") {
-                    Some(h) => u64::from_str_radix(h, 16).ok(),
-                    None => v.parse().ok(),
-                }
-            })
-            .unwrap_or(default)
-    }
-
     fault::silence_crash_point_panics();
     let domains: &[PersistenceDomain] = match std::env::var("SPASH_CRASH_DOMAIN").as_deref() {
         Ok("adr") => &[PersistenceDomain::Adr],
@@ -626,19 +623,6 @@ fn crashpoints() {
 fn san_run() {
     use spash_analysis::sandrive::{run_san, SanRunConfig};
     use spash_pmem::PersistenceDomain;
-
-    fn knob(name: &str, default: u64) -> u64 {
-        std::env::var(name)
-            .ok()
-            .and_then(|v| {
-                let v = v.trim().to_ascii_lowercase();
-                match v.strip_prefix("0x") {
-                    Some(h) => u64::from_str_radix(h, 16).ok(),
-                    None => v.parse().ok(),
-                }
-            })
-            .unwrap_or(default)
-    }
 
     let domains: &[PersistenceDomain] = match std::env::var("SPASH_SAN_DOMAIN").as_deref() {
         Ok("adr") => &[PersistenceDomain::Adr],
@@ -995,5 +979,21 @@ fn main() {
             std::process::exit(1);
         }
         println!("# report: {} rows -> {path}", rep.rows.len());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_knob;
+
+    #[test]
+    fn knobs_parse_decimal_and_hex() {
+        assert_eq!(parse_knob("24"), Some(24));
+        assert_eq!(parse_knob(" 7\n"), Some(7));
+        assert_eq!(parse_knob("0xC0FFEE"), Some(0xC0FFEE));
+        assert_eq!(parse_knob("0X5a17"), Some(0x5a17));
+        assert_eq!(parse_knob("-1"), None);
+        assert_eq!(parse_knob("12k"), None);
+        assert_eq!(parse_knob(""), None);
     }
 }
